@@ -13,8 +13,10 @@
 //     parallel region (nested call), the loop runs serially inline on the
 //     caller, in index order.
 //   * Fail-fast: the first exception thrown by fn cancels the remaining
-//     sweep (participants check a shared cancellation flag before each
-//     fn(i)) and is rethrown on the caller.
+//     sweep and is rethrown on the caller. The shared cancellation flag
+//     flips when the exception reaches the pool's catch, after the throwing
+//     task has unwound; participants check it before each fn(i), and a task
+//     may poll ThreadPool::cancelled() to stop early.
 
 #include <cstddef>
 #include <functional>

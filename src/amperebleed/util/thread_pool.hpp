@@ -15,9 +15,12 @@
 //     worker threads at all and run() degenerates to an exact serial loop on
 //     the calling thread, in index order.
 //   * Fail-fast. The first exception thrown by fn cancels the remaining
-//     sweep: every participant checks a shared cancellation flag before each
-//     fn(i), and the captured exception is rethrown on the caller once all
-//     in-flight tasks have drained.
+//     sweep: the shared cancellation flag flips when that exception reaches
+//     the pool's catch (after the throwing task has unwound), every
+//     participant checks the flag before each fn(i), and the captured
+//     exception is rethrown on the caller once all in-flight tasks have
+//     drained. A long-running task may poll ThreadPool::cancelled() to stop
+//     early once its region is cancelled.
 //   * Nesting. A parallel region launched from inside another region's task
 //     (ThreadPool::in_worker()) executes serially inline — the outermost
 //     loop owns the parallelism, inner loops stay deterministic and cheap.
@@ -74,6 +77,13 @@ class ThreadPool {
 
   /// True while the calling thread is executing inside a run() task.
   [[nodiscard]] static bool in_worker();
+
+  /// True while the calling thread runs a task of a pooled region whose
+  /// fail-fast flag is set (an earlier task of the region has thrown and
+  /// the exception reached the pool). False outside any task and in a
+  /// serial fallback that no pooled region encloses; a region nested inline
+  /// in a pooled task reports the enclosing region's flag.
+  [[nodiscard]] static bool cancelled();
 
   /// The process-wide pool used by util::parallel_for. Constructed on first
   /// use at default_size(); never re-created.

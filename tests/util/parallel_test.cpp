@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace amperebleed::util {
@@ -61,22 +63,42 @@ TEST(ParallelFor, FailFastCancelsRemainingSweep) {
   // host's core count, then restore the previous size.
   const std::size_t before = ThreadPool::global().size();
   ThreadPool::set_global_threads(4);
-  std::atomic<bool> thrown{false};
-  std::atomic<int> started_after_throw{0};
+  // A task counts as started after cancel when the pool's own flag is set
+  // on entry. Non-throwing tasks that start before the flip hold until it,
+  // and task 0 throws once the 3 other participants are holding.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> holders{0};
+  std::atomic<int> released_by_flag{0};
+  std::atomic<int> started_after_cancel{0};
   EXPECT_THROW(
       parallel_for(2000,
                    [&](std::size_t i) {
+                     if (ThreadPool::cancelled()) {
+                       ++started_after_cancel;
+                       return;
+                     }
                      if (i == 0) {
-                       thrown = true;
+                       while (holders.load() < 3 &&
+                              std::chrono::steady_clock::now() < deadline) {
+                         std::this_thread::yield();
+                       }
                        throw std::invalid_argument("stop");
                      }
-                     if (thrown) ++started_after_throw;
+                     ++holders;
+                     while (!ThreadPool::cancelled() &&
+                            std::chrono::steady_clock::now() < deadline) {
+                       std::this_thread::yield();
+                     }
+                     if (ThreadPool::cancelled()) ++released_by_flag;
                    }),
       std::invalid_argument);
+  EXPECT_EQ(holders.load(), 3);
+  EXPECT_EQ(released_by_flag.load(), 3);
   // With 4 participants, at most the 3 non-throwing executors can have a
   // task in flight when the cancellation flag flips; everything else must
   // be skipped, not executed.
-  EXPECT_LE(started_after_throw.load(), 3);
+  EXPECT_LE(started_after_cancel.load(), 3);
   ThreadPool::set_global_threads(before);
 }
 

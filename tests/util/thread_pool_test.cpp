@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "amperebleed/obs/obs.hpp"
@@ -88,22 +90,67 @@ TEST(ThreadPool, ExceptionIsRethrownOnCaller) {
 }
 
 TEST(ThreadPool, CancellationStopsTasksAfterTheThrow) {
-  // Fail-fast contract: once a task has thrown, at most the tasks already
-  // in flight (one per other participant) may still start.
+  // Fail-fast contract: once the sweep is cancelled, at most the tasks
+  // already in flight (one per other participant) may still start. The
+  // pool's flag flips only when the exception reaches its catch, after the
+  // thrower has unwound, so "after cancel" is read from the pool itself
+  // (ThreadPool::cancelled() on entry), not from a flag set before `throw`.
+  // Non-throwing tasks that start before the flip hold until it, so work is
+  // left to skip; task 0 throws once the 3 other participants are holding.
   ThreadPool pool(4);
-  std::atomic<bool> thrown{false};
-  std::atomic<int> started_after_throw{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> holders{0};
+  std::atomic<int> released_by_flag{0};
+  std::atomic<int> started_after_cancel{0};
   const std::function<void(std::size_t)> fn = [&](std::size_t i) {
+    if (ThreadPool::cancelled()) {
+      ++started_after_cancel;
+      return;
+    }
     if (i == 0) {
-      thrown = true;
+      while (holders.load() < 3 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
       throw std::runtime_error("cancel the sweep");
     }
-    if (thrown) ++started_after_throw;
+    ++holders;
+    while (!ThreadPool::cancelled() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (ThreadPool::cancelled()) ++released_by_flag;
   };
   EXPECT_THROW(pool.run(2000, fn), std::runtime_error);
+  // Every other participant held a task until the flag flipped; a
+  // cancelled() that never reports true fails here instead of passing.
+  EXPECT_EQ(holders.load(), 3);
+  EXPECT_EQ(released_by_flag.load(), 3);
   // 4 participants: the thrower plus at most 3 tasks that had already
   // passed their cancellation check when the flag flipped.
-  EXPECT_LE(started_after_throw.load(), 3);
+  EXPECT_LE(started_after_cancel.load(), 3);
+}
+
+TEST(ThreadPool, CancelledIsFalseUnlessARegionIsCancelled) {
+  EXPECT_FALSE(ThreadPool::cancelled());  // outside any task
+
+  ThreadPool serial(1);
+  std::atomic<int> serial_seen{0};
+  const std::function<void(std::size_t)> serial_fn = [&](std::size_t) {
+    if (ThreadPool::cancelled()) ++serial_seen;
+  };
+  serial.run(8, serial_fn);
+  EXPECT_EQ(serial_seen.load(), 0);
+
+  ThreadPool pool(4);
+  std::atomic<int> pooled_seen{0};
+  const std::function<void(std::size_t)> pooled_fn = [&](std::size_t) {
+    if (ThreadPool::cancelled()) ++pooled_seen;
+  };
+  pool.run(500, pooled_fn);
+  EXPECT_EQ(pooled_seen.load(), 0);
+  EXPECT_FALSE(ThreadPool::cancelled());  // scoped to task execution
 }
 
 TEST(ThreadPool, ResizeChangesExecutorCount) {
