@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "amperebleed/crypto/biguint.hpp"
 
 namespace amperebleed::crypto {
@@ -15,6 +18,13 @@ struct Vector {
   const char* quotient;   // a / b
   const char* remainder;  // a % b
 };
+
+// Names each case by the leading hex digits of `a` (unique across the table).
+// Without it gtest prints the struct's raw bytes, i.e. the addresses of its
+// string fields, and the case names change from one process to the next.
+void PrintTo(const Vector& v, std::ostream* os) {
+  *os << "a=0x" << std::string_view(v.a).substr(0, 16);
+}
 
 // clang-format off
 constexpr Vector kVectors[] = {
